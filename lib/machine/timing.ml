@@ -119,12 +119,12 @@ let spin_cycles t ~light n =
      below the pipeline refill floor: the measured time flattens for
      small N (paper Fig. 4). *)
   let floor_cycles = 3 * t.spin_overlap_cycles in
-  max floor_cycles (spin_raw_cycles t ~light n)
+  Int.max floor_cycles (spin_raw_cycles t ~light n)
 
 let spin_injected_cycles t ~light n =
   (* Injected inline, a short loop overlaps with neighbouring
      instructions; only time beyond the overlap window is visible. *)
-  max 0 (spin_raw_cycles t ~light n - t.spin_overlap_cycles)
+  Int.max 0 (spin_raw_cycles t ~light n - t.spin_overlap_cycles)
 
 let nop_cycles t n =
   if n <= 0 then 0

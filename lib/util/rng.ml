@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state words s0..s3 live in one 32-byte buffer,
+   read and written as little-endian int64s.  Mutable [int64] record
+   fields would box on every write, so each draw would allocate; the
+   byte buffer keeps the words unboxed. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_le t (i lsl 3) [@@inline]
+let set t i v = Bytes.set_int64_le t (i lsl 3) v [@@inline]
 
 (* splitmix64 is used only to expand the user seed into the four
    xoshiro256** state words, as recommended by the xoshiro authors:
@@ -11,49 +18,48 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_seed64 seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_seed64 (Int64.of_int seed)
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let copy = Bytes.copy
+
+let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k)) [@@inline]
 
 let int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let u = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 u;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let u = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 1 (Int64.logxor s1 s2);
+  set t 0 (Int64.logxor s0 s3);
+  set t 2 (Int64.logxor s2 u);
+  set t 3 (rotl s3 45);
   result
+[@@inline]
 
-let split t =
-  let state = ref (int64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let split t = of_seed64 (int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
 
+(* Rejection sampling removes modulo bias; the retry probability is
+   negligible for the bounds used here.  A top-level loop, so a draw
+   allocates no closure. *)
+let rec int_below t bound limit =
+  let r = bits t in
+  let v = r mod bound in
+  if r - v > limit then int_below t bound limit else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling removes modulo bias; the retry probability is
-     negligible for the bounds used here. *)
-  let rec go () =
-    let r = bits t in
-    let v = r mod bound in
-    if r - v > (max_int lsr 2) * 4 - bound then go () else v
-  in
-  go ()
+  int_below t bound ((max_int lsr 2) * 4 - bound)
 
 let unit_float t =
   (* 53 high bits -> uniform double in [0, 1). *)
@@ -64,29 +70,22 @@ let float t bound = unit_float t *. bound
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
+let rec nonzero_unit_float t =
+  let u = unit_float t in
+  if u > 0. then u else nonzero_unit_float t
+
 let gaussian t ~mean ~std =
-  let rec nonzero () =
-    let u = unit_float t in
-    if u > 0. then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = unit_float t in
+  let u1 = nonzero_unit_float t in
+  let u2 = unit_float t in
   mean +. (std *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
 
 let exponential t ~rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
-  let rec nonzero () =
-    let u = unit_float t in
-    if u > 0. then u else nonzero ()
-  in
-  -.log (nonzero ()) /. rate
+  -.log (nonzero_unit_float t) /. rate
 
 let pareto t ~shape ~scale =
   if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: parameters must be positive";
-  let rec nonzero () =
-    let u = unit_float t in
-    if u > 0. then u else nonzero ()
-  in
-  scale /. (nonzero () ** (1. /. shape))
+  scale /. (nonzero_unit_float t ** (1. /. shape))
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~std:sigma)
 

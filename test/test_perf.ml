@@ -123,6 +123,69 @@ let test_spin_timing_floor () =
   let ratio = float_of_int t1024 /. float_of_int t512 in
   Alcotest.(check bool) "linear at large N" true (ratio > 1.9 && ratio < 2.1)
 
+(* The ring-buffer simulator against the list-based one it replaced:
+   random streams over all 16 uop kinds on 1-12 cores, under both
+   architectures' timings and a 2-entry buffer whose store-releases
+   wait for it to empty, so that full-buffer stalls and forwarding
+   from already-drained entries happen often.  Few, mostly close
+   locations make forwarding and line sharing likely; a few far ones
+   collide in cache sets. *)
+let gen_uop =
+  let open QCheck.Gen in
+  let loc = frequency [ (6, int_range 0 40); (1, int_range 0 4200) ] in
+  frequency
+    [
+      (3, map (fun n -> Uop.Busy n) (int_range (-2) 60));
+      (4, map (fun l -> Uop.Load l) loc);
+      (4, map (fun l -> Uop.Store l) loc);
+      (1, map (fun l -> Uop.Load_acquire l) loc);
+      (1, map (fun l -> Uop.Store_release l) loc);
+      (1, return Uop.Fence_full);
+      (1, return Uop.Fence_store);
+      (1, return Uop.Fence_load);
+      (1, return Uop.Fence_lw);
+      (1, return Uop.Fence_pipeline);
+      (1, return Uop.Branch);
+      (1, map (fun n -> Uop.Spin n) (int_range 0 300));
+      (1, map (fun n -> Uop.Spin_light n) (int_range 0 300));
+      (1, map (fun n -> Uop.Nops n) (int_range 0 9));
+      (1, map (fun p -> Uop.Counter_shared p) (int_range 0 3));
+      (1, map (fun p -> Uop.Counter_private p) (int_range 0 3));
+    ]
+
+let timings =
+  [|
+    Timing.armv8;
+    Timing.power7;
+    { Timing.armv8 with Timing.sb_capacity = 2; release_drain_threshold = 0 };
+    { Timing.power7 with Timing.sb_capacity = 2; release_drain_threshold = 0 };
+  |]
+
+let arb_run =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 (Array.length timings - 1) >>= fun timing ->
+    int_range 1 12 >>= fun cores ->
+    int_range 1 cores >>= fun streams ->
+    small_nat >>= fun seed ->
+    array_repeat streams (array_size (int_range 0 120) gen_uop) >>= fun streams ->
+    return ({ Perf.timing = timings.(timing); cores; seed }, streams)
+  in
+  let print ((c : Perf.config), streams) =
+    Printf.sprintf "timing %s cap %d, %d cores, seed %d:\n%s" (Arch.name c.Perf.timing.Timing.arch)
+      c.Perf.timing.Timing.sb_capacity c.Perf.cores c.Perf.seed
+      (String.concat "\n"
+         (Array.to_list
+            (Array.map
+               (fun s -> String.concat " " (Array.to_list (Array.map (Format.asprintf "%a" Uop.pp) s)))
+               streams)))
+  in
+  QCheck.make ~print gen
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"stats equal the list-based reference" ~count:1000 arb_run
+    (fun (config, streams) -> Perf.run config streams = Perf_reference.run config streams)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -143,4 +206,5 @@ let suite =
     Alcotest.test_case "nop padding cost" `Quick test_nops_cheap_but_nonzero;
     Alcotest.test_case "stream count check" `Quick test_rejects_too_many_streams;
     Alcotest.test_case "spin timing floor (Fig 4)" `Quick test_spin_timing_floor;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

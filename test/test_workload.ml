@@ -109,6 +109,50 @@ let prop_share_ratio_bounds_locations =
             stream)
         streams)
 
+(* The template generator against the list-based one it replaced, on
+   every DaCapo and kernel profile, over nop-base and injected
+   platforms of both JVM modes and every read_barrier_depends
+   strategy.  Equal streams from equal seeds also pins the RNG draw
+   order. *)
+let reference_platforms =
+  let module Exp = Wmm_experiments.Exp_common in
+  let module Cf = Wmm_costfn.Cost_function in
+  let jvm arch =
+    let cf = Cf.uop (Cf.make ~light:(Exp.light_for arch) arch 32) in
+    [
+      Exp.jvm_nop_base arch;
+      Exp.jvm_platform ~inject_all:[ cf ] arch;
+      Exp.jvm_platform ~inject:[ (Barrier.Store_store, [ cf; Uop.Nops 2 ]) ] arch;
+      Exp.jvm_platform ~overrides:[ (Barrier.Load_load, Uop.Fence_full) ] arch;
+      Exp.jvm_platform ~mode:Jvm.Acqrel ~lock_patch:true ~inject_all:[ cf ] arch;
+      Exp.jvm_platform ~mode:Jvm.Acqrel arch;
+    ]
+  in
+  let kernel =
+    let cf = Cf.uop (Cf.make Arch.Armv8 64) in
+    Exp.kernel_nop_base Arch.Armv8
+    :: Exp.kernel_platform ~inject_all:[ cf ] Arch.Armv8
+    :: List.map
+         (fun rbd ->
+           Exp.kernel_platform ~rbd ~inject:[ (Kernel.Read_barrier_depends, [ cf ]) ] Arch.Armv8)
+         Kernel.all_rbd_strategies
+  in
+  List.concat_map (fun arch -> List.map (fun pl -> (Dacapo.all, pl)) (jvm arch)) Arch.all
+  @ List.map (fun pl -> (Kernelbench.all @ Kernelbench.lmbench_parts, pl)) kernel
+
+let prop_generate_matches_reference =
+  QCheck.Test.make ~name:"streams equal the list-based reference" ~count:20
+    QCheck.(pair small_nat (int_range 1 6))
+    (fun (seed, units) ->
+      List.for_all
+        (fun (profiles, platform) ->
+          List.for_all
+            (fun (p : Profile.t) ->
+              Generate.streams ~units_override:units p platform ~seed
+              = Generate_reference.streams ~units_override:units p platform ~seed)
+            profiles)
+        reference_platforms)
+
 let suite =
   [
     Alcotest.test_case "profiles validate" `Quick test_profiles_validate;
@@ -124,4 +168,5 @@ let suite =
     Alcotest.test_case "noise varies with seed" `Quick test_noise_seeds_differ;
     Alcotest.test_case "quiet profile reproducible" `Quick test_quiet_profile_stable;
     QCheck_alcotest.to_alcotest prop_share_ratio_bounds_locations;
+    QCheck_alcotest.to_alcotest prop_generate_matches_reference;
   ]
