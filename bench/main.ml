@@ -19,10 +19,28 @@
 
 open Wmm_experiments
 
+(* Exploration done by the bechamel section.  Bechamel repeats each
+   kernel for as long as its time quota allows, so this amount varies
+   between runs of identical code; it is left out of the summary. *)
+let bechamel_exploration = ref Wmm_model.Enumerate.zero_stats
+
+let stats_minus (a : Wmm_model.Enumerate.stats) (b : Wmm_model.Enumerate.stats) =
+  {
+    Wmm_model.Enumerate.generated = a.generated - b.generated;
+    pruned = a.pruned - b.pruned;
+    well_formed = a.well_formed - b.well_formed;
+    consistent = a.consistent - b.consistent;
+    graph_executions = a.graph_executions - b.graph_executions;
+    revisits = a.revisits - b.revisits;
+    symmetry_skips = a.symmetry_skips - b.symmetry_skips;
+    cutover_small = a.cutover_small - b.cutover_small;
+    wall_s = a.wall_s -. b.wall_s;
+  }
+
 (* Snapshot the candidate-search counters into the run's telemetry so
    the JSON dump records how much exploration the run performed. *)
 let record_exploration engine =
-  let s = Wmm_model.Enumerate.global_stats () in
+  let s = stats_minus (Wmm_model.Enumerate.global_stats ()) !bechamel_exploration in
   Wmm_engine.Engine.set_exploration engine
     {
       Wmm_engine.Telemetry.explored = s.Wmm_model.Enumerate.generated;
@@ -365,7 +383,11 @@ let () =
       ("rbd", fun () -> section "rbd" (Rbd.report ~engine ~robust));
       ("counters", fun () -> section "counters" Counters.report);
       ("optimizer", fun () -> section "optimizer" Optimizer_exp.report);
-      ("bechamel", bechamel_section);
+      ( "bechamel",
+        fun () ->
+          let s0 = Wmm_model.Enumerate.global_stats () in
+          bechamel_section ();
+          bechamel_exploration := stats_minus (Wmm_model.Enumerate.global_stats ()) s0 );
     ]
   in
   let selected =

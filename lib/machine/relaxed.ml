@@ -22,510 +22,481 @@ type outcome = {
 
 let compare_outcome (a : outcome) (b : outcome) = compare a b
 
-module IM = Map.Make (Int)
-
-(* Operand as resolved at decode time: immediates and
-   already-concrete register values become [Val]; registers whose
-   program-order-latest producer is still in flight become
-   [From eid]. *)
-type source = Val of int | From of int
-
-(* A decoded, possibly executed instruction in the window. *)
-type entry = {
-  eid : int;
-  at_pc : int;
-  instr : Instr.t;
-  sources : source list;  (** In the order of [Instr.input_regs]. *)
-  executed : bool;
-  result : int;  (** Register result (load value / ALU / stxr status); 0 otherwise. *)
-  store_value : int;  (** Value written by an executed store; 0 otherwise. *)
-  resolved_loc : int;  (** Location of an executed memory access; -1 otherwise. *)
-}
-
-type binding = Value of int | Producer of int
-
-type buffer_entry =
-  | Bstore of { loc : int; value : int; release : bool; eid : int }
-      (** [eid] identifies the originating store so loads only
-          forward from program-order-earlier entries. *)
-  | Bmarker  (** Store-order marker from dmb ishst / lwsync / eieio. *)
-
-type tstate = {
-  pc : int;
-  next_eid : int;
-  window : entry list;  (** Oldest first. *)
-  bindings : binding IM.t;
-  written : unit IM.t;  (** Registers architecturally written so far. *)
-}
-
-type state = {
-  threads : tstate array;
-  buffers : buffer_entry list array;
-  memory : int IM.t;
-  monitors : int option array;  (** Per-thread exclusive monitor (location). *)
-}
-
-type action = Execute of int * int  (** thread, eid *) | Drain of int * int  (** thread, buffer index *)
-
 (* ------------------------------------------------------------------ *)
-(* Decoding / fetch.                                                   *)
+(* State layout.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_operand bindings = function
-  | Instr.Imm v -> Val v
-  | Instr.Reg r -> (
-      match IM.find_opt r bindings with
-      | Some (Value v) -> Val v
-      | Some (Producer eid) -> From eid
-      | None -> Val 0)
+(* A machine state is one int array.  Its first [key_off] ints are
+   bookkeeping that no transition reads: each thread's next eid, then a
+   written flag per register slot (the registers an outcome reports).
+   The rest is the key region, which the seen set compares:
 
-let operands_of_instr instr bindings =
-  List.map (fun r -> resolve_operand bindings (Instr.Reg r)) (Instr.input_regs instr)
+   - per thread, at [off]: the pc, the window length, [cap] window
+     entries of [entry_stride] ints (oldest first; eids are consecutive
+     and end at the thread's next eid), then a (tag, value) binding per
+     register slot;
+   - memory at the program's locations ([mem_off]);
+   - a (tag, location) exclusive monitor per thread ([mon_off]);
+   - at [tail_off] the count and sorted (location, value) pairs of
+     written locations outside the program's, then per thread a buffer
+     length and that many buffer entries of [buffer_stride] ints.
 
-let has_unresolved_branch window =
-  List.exists (fun e -> Instr.is_branch e.instr && not e.executed) window
+   Everything up to [tail_off] sits at a fixed offset; the tail
+   changes length when a buffer does. *)
+
+let entry_stride = 7
+
+(* Entry fields: pc, flags, result (load value / ALU / stxr status),
+   value written by an executed store, location of an executed memory
+   access (-1 otherwise), then the two operands in the order of
+   [Instr.input_regs].  An operand is a value, or, with its flag bit
+   set, the eid of the in-flight window entry producing it. *)
+let f_pc = 0
+let f_flags = 1
+let f_result = 2
+let f_store_value = 3
+let f_loc = 4
+let f_src = 5
+let executed_bit = 1
+let from_bit k = 2 lsl k
+
+(* Binding tags: never written (reads 0), a value, or the eid of the
+   in-flight producer. *)
+let b_absent = 0
+let b_value = 1
+let b_producer = 2
+
+(* Buffer entries: kind, location, value, eid of the originating store
+   (loads only forward from program-order-earlier entries).  A marker
+   (from dmb ishst / lwsync / eieio) keeps zeros in the other fields. *)
+let buffer_stride = 4
+let k_marker = 0
+let k_store = 1
+let k_release = 2
+
+(* Instruction classes for the readiness checks. *)
+let c_load = 1
+let c_store = 2
+let c_acquire = 4  (* load with acquire, acq_rel or sc order *)
+let c_release = 8  (* store with release, acq_rel or sc order *)
+let c_full = 16  (* dmb ish, sync, fence sc *)
+let c_load_barrier = 32  (* dmb ishld, lwsync, fence acq / acq_rel *)
+let c_marker = 64  (* dmb ishst, lwsync, eieio, fence rel / acq_rel *)
+let c_pipeline = 128  (* isb, isync *)
+let c_branch = 256
+let c_exclusive = 512
+let c_any = 1024
+
+(* What an instruction waits for before it may execute. *)
+let r_free = 0
+let r_full = 1  (* the whole window, and an empty buffer *)
+let r_loads = 2
+let r_loads_stores = 3
+let r_stores = 4
+let r_all = 5
+let r_store = 6
+let r_load = 7
+
+let order_bit strong = function
+  | Instr.Acquire | Instr.Acq_rel | Instr.Sc when strong = c_acquire -> c_acquire
+  | Instr.Release | Instr.Acq_rel | Instr.Sc when strong = c_release -> c_release
+  | _ -> 0
+
+let classify = function
+  | Instr.Load { order; _ } -> (c_load lor order_bit c_acquire order, r_load)
+  | Instr.Load_exclusive { order; _ } ->
+      (c_load lor c_exclusive lor order_bit c_acquire order, r_load)
+  | Instr.Store { order; _ } -> (c_store lor order_bit c_release order, r_store)
+  | Instr.Store_exclusive { order; _ } ->
+      (c_store lor c_exclusive lor order_bit c_release order, r_store)
+  | Instr.Barrier (Instr.Dmb_ish | Instr.Sync | Instr.Fence_sc) -> (c_full, r_full)
+  | Instr.Barrier (Instr.Dmb_ishld | Instr.Fence_acq) -> (c_load_barrier, r_loads)
+  | Instr.Barrier (Instr.Lwsync | Instr.Fence_acq_rel) ->
+      (c_load_barrier lor c_marker, r_loads_stores)
+  | Instr.Barrier Instr.Fence_rel -> (c_marker, r_loads_stores)
+  | Instr.Barrier (Instr.Dmb_ishst | Instr.Eieio) -> (c_marker, r_stores)
+  | Instr.Barrier (Instr.Isb | Instr.Isync) -> (c_pipeline, r_all)
+  | Instr.Cbnz _ | Instr.Cbz _ -> (c_branch, r_free)
+  | Instr.Nop | Instr.Mov _ | Instr.Op _ -> (0, r_free)
+
+type thread_info = {
+  code : Instr.t array;
+  cls : int array;
+  rule : int array;
+  nsrc : int array;
+  src_slot : int array;  (** Two per pc: register slot of each operand, -1 if never written. *)
+  addr_src : int array;  (** Operand holding the address; -1 for an immediate. *)
+  addr_imm : int array;
+  out_slot : int array;  (** -1 when the instruction writes no register. *)
+  regs : int array;  (** Register of each slot, ascending. *)
+  branches : bool;  (** Without branches an entry's pc is its eid. *)
+  off : int;
+  regs_off : int;
+  written_off : int;
+}
+
+type machine = {
+  config : config;
+  threads : thread_info array;
+  locs : int array;  (** [Program.locations], ascending. *)
+  loc_slots : int array;
+      (** Index in [locs] of each location below 1024 (-1 if absent); larger ones are searched. *)
+  mem_off : int;
+  mon_off : int;
+  tail_off : int;
+  init : int array;
+  mutable scratch : int array;  (** Enabled actions under construction. *)
+  mutable key : Bytes.t;
+}
+
+let output_regs code =
+  Array.to_list code |> List.filter_map Instr.output_reg |> List.sort_uniq compare |> Array.of_list
+
+let thread_info config ~off ~written_off ~regs (code : Instr.t array) =
+  let n = Array.length code in
+  let slot_of r =
+    let rec find i =
+      if i = Array.length regs then -1 else if regs.(i) = r then i else find (i + 1)
+    in
+    find 0
+  in
+  let inputs = Array.map Instr.input_regs code in
+  let src_slot = Array.make (2 * n) (-1) in
+  Array.iteri (fun pc rs -> List.iteri (fun k r -> src_slot.((2 * pc) + k) <- slot_of r) rs) inputs;
+  let addr_of = function
+    | Instr.Load { addr; _ }
+    | Instr.Load_exclusive { addr; _ }
+    | Instr.Store { addr; _ }
+    | Instr.Store_exclusive { addr; _ } ->
+        Some addr
+    | _ -> None
+  in
+  let loops =
+    Array.exists
+      (function Instr.Cbnz { offset; _ } | Instr.Cbz { offset; _ } -> offset < 0 | _ -> false)
+      code
+  in
+  let branches = Array.exists Instr.is_branch code in
+  (* Without a backward branch every pc is fetched at most once. *)
+  let cap = max 0 (if loops then config.window_size else min config.window_size n) in
+  let regs_off = off + 2 + (cap * entry_stride) in
+  let classes = Array.map classify code in
+  ( {
+      code;
+      cls = Array.map fst classes;
+      rule = Array.map snd classes;
+      nsrc = Array.map List.length inputs;
+      src_slot;
+      addr_src =
+        Array.mapi
+          (fun pc i ->
+            match addr_of i with Some (Instr.Reg _) -> List.length inputs.(pc) - 1 | _ -> -1)
+          code;
+      addr_imm = Array.map (fun i -> match addr_of i with Some (Instr.Imm l) -> l | _ -> 0) code;
+      out_slot =
+        Array.map (fun i -> match Instr.output_reg i with Some r -> slot_of r | None -> -1) code;
+      regs;
+      branches;
+      off;
+      regs_off;
+      written_off;
+    },
+    regs_off + (2 * Array.length regs) )
+
+(* ------------------------------------------------------------------ *)
+(* Operands, addresses, memory.                                        *)
+(* ------------------------------------------------------------------ *)
+
+let entry off i = off + 2 + (i * entry_stride)
+
+(* An operand is ready once it is a value or its producer (an older
+   entry of the same window: retiring a producer substitutes its
+   result) has executed. *)
+let src_ready s off base e k =
+  s.(e + f_flags) land from_bit k = 0
+  || s.(entry off (s.(e + f_src + k) - base) + f_flags) land executed_bit <> 0
+
+let src_value s off base e k =
+  if s.(e + f_flags) land from_bit k = 0 then s.(e + f_src + k)
+  else s.(entry off (s.(e + f_src + k) - base) + f_result)
+
+(* The address a memory entry accesses, when it is already known. *)
+let addr_known ti s off base e pc =
+  let k = ti.addr_src.(pc) in
+  k < 0 || src_ready s off base e k
+
+let addr_of ti s off base e pc =
+  let k = ti.addr_src.(pc) in
+  if k < 0 then ti.addr_imm.(pc) else src_value s off base e k
+
+let loc_slot m loc =
+  if loc >= 0 && loc < Array.length m.loc_slots then m.loc_slots.(loc)
+  else
+    let rec find i =
+      if i = Array.length m.locs then -1 else if m.locs.(i) = loc then i else find (i + 1)
+    in
+    find 0
+
+let read_memory m s loc =
+  let slot = loc_slot m loc in
+  if slot >= 0 then s.(m.mem_off + slot)
+  else
+    let rec find i n =
+      if n = 0 then 0 else if s.(i) = loc then s.(i + 1) else find (i + 2) (n - 1)
+    in
+    find (m.tail_off + 1) s.(m.tail_off)
+
+(* A copy of [s] with [del] ints at [pos] replaced by [ins] zeros.
+   One runtime call copies the array to its new length (appending a
+   block allocated inline for the common four-int buffer entry); the
+   short end of the tail from [pos] on is then moved by hand. *)
+let splice s pos del ins =
+  let len = Array.length s in
+  let d =
+    if ins <= del then Array.sub s 0 (len - del + ins)
+    else Array.append s (if ins - del = 4 then [| 0; 0; 0; 0 |] else Array.make (ins - del) 0)
+  in
+  for i = pos + ins to len - del + ins - 1 do
+    d.(i) <- s.(i - ins + del)
+  done;
+  for i = pos to pos + ins - 1 do
+    d.(i) <- 0
+  done;
+  d
+
+(* Writes in place when it can; a first write outside the program's
+   locations returns a longer copy. *)
+let write_memory m s loc v =
+  let slot = loc_slot m loc in
+  if slot >= 0 then begin
+    s.(m.mem_off + slot) <- v;
+    s
+  end
+  else
+    let n = s.(m.tail_off) in
+    let rec find i k =
+      if k = n || s.(i) > loc then begin
+        let s = splice s i 0 2 in
+        s.(m.tail_off) <- n + 1;
+        s.(i) <- loc;
+        s.(i + 1) <- v;
+        s
+      end
+      else if s.(i) = loc then begin
+        s.(i + 1) <- v;
+        s
+      end
+      else find (i + 2) (k + 1)
+    in
+    find (m.tail_off + 1) 0
+
+(* A write to [loc] becoming visible revokes every other thread's
+   exclusive monitor on it. *)
+let revoke_monitors m s tid loc =
+  for i = 0 to Array.length m.threads - 1 do
+    let p = m.mon_off + (2 * i) in
+    if i <> tid && s.(p) = 1 && s.(p + 1) = loc then begin
+      s.(p) <- 0;
+      s.(p + 1) <- 0
+    end
+  done
+
+let set_monitor m s tid loc =
+  s.(m.mon_off + (2 * tid)) <- 1;
+  s.(m.mon_off + (2 * tid) + 1) <- loc
+
+let clear_monitor m s tid =
+  s.(m.mon_off + (2 * tid)) <- 0;
+  s.(m.mon_off + (2 * tid) + 1) <- 0
+
+let buffer_off m s tid =
+  let b = ref (m.tail_off + 1 + (2 * s.(m.tail_off))) in
+  for _ = 1 to tid do
+    b := !b + 1 + (buffer_stride * s.(!b))
+  done;
+  !b
+
+(* A copy of [s] with one entry appended to the buffer at [b]. *)
+let buffer_append s b kind ~loc ~value ~eid =
+  let n = s.(b) in
+  let p = b + 1 + (n * buffer_stride) in
+  let s = splice s p 0 buffer_stride in
+  s.(b) <- n + 1;
+  s.(p) <- kind;
+  s.(p + 1) <- loc;
+  s.(p + 2) <- value;
+  s.(p + 3) <- eid;
+  s
+
+(* ------------------------------------------------------------------ *)
+(* Fetch and retire.                                                   *)
+(* ------------------------------------------------------------------ *)
 
 (* Fetch instructions into the window up to capacity, stopping at an
-   unresolved branch (no speculation). *)
-let fetch config (program : Program.thread) t =
-  let rec go t =
-    if
-      List.length t.window >= config.window_size
-      || has_unresolved_branch t.window
-      || t.pc < 0
-      || t.pc >= Array.length program
-    then t
-    else begin
-      let instr = program.(t.pc) in
-      let sources = operands_of_instr instr t.bindings in
-      let entry =
-        {
-          eid = t.next_eid;
-          at_pc = t.pc;
-          instr;
-          sources;
-          executed = false;
-          result = 0;
-          store_value = 0;
-          resolved_loc = -1;
-        }
-      in
-      let bindings =
-        match Instr.output_reg instr with
-        | Some r -> IM.add r (Producer entry.eid) t.bindings
-        | None -> t.bindings
-      in
-      go
-        {
-          t with
-          pc = t.pc + 1;
-          next_eid = t.next_eid + 1;
-          window = t.window @ [ entry ];
-          bindings;
-        }
-    end
+   unresolved branch (no speculation).  In place. *)
+let fetch m s tid =
+  let ti = m.threads.(tid) in
+  let off = ti.off in
+  let n = Array.length ti.code in
+  (* Fetch stops right after a branch, so an unresolved branch can
+     only be the youngest entry. *)
+  let last = entry off (s.(off + 1) - 1) in
+  let unresolved =
+    ref
+      (s.(off + 1) > 0
+      && ti.cls.(s.(last)) land c_branch <> 0
+      && s.(last + f_flags) land executed_bit = 0)
   in
-  go t
+  while (not !unresolved) && s.(off + 1) < m.config.window_size && s.(off) >= 0 && s.(off) < n do
+    let pc = s.(off) and w = s.(off + 1) and eid = s.(tid) in
+    let e = entry off w in
+    let flags = ref 0 in
+    for k = 0 to 1 do
+      let slot = if k < ti.nsrc.(pc) then ti.src_slot.((2 * pc) + k) else -1 in
+      let b = ti.regs_off + (2 * slot) in
+      if slot < 0 || s.(b) = b_absent then s.(e + f_src + k) <- 0
+      else begin
+        if s.(b) = b_producer then flags := !flags lor from_bit k;
+        s.(e + f_src + k) <- s.(b + 1)
+      end
+    done;
+    s.(e + f_pc) <- pc;
+    s.(e + f_flags) <- !flags;
+    s.(e + f_result) <- 0;
+    s.(e + f_store_value) <- 0;
+    s.(e + f_loc) <- -1;
+    let o = ti.out_slot.(pc) in
+    if o >= 0 then begin
+      s.(ti.regs_off + (2 * o)) <- b_producer;
+      s.(ti.regs_off + (2 * o) + 1) <- eid
+    end;
+    s.(off) <- pc + 1;
+    s.(off + 1) <- w + 1;
+    s.(tid) <- eid + 1;
+    if ti.cls.(pc) land c_branch <> 0 then unresolved := true
+  done
 
 (* Retire executed entries from the window head, substituting their
-   results into later operands and the register bindings. *)
-let retire t =
-  let substitute eid value t =
-    let window =
-      List.map
-        (fun e ->
-          {
-            e with
-            sources = List.map (function From i when i = eid -> Val value | s -> s) e.sources;
-          })
-        t.window
-    in
-    let bindings =
-      IM.map (function Producer i when i = eid -> Value value | b -> b) t.bindings
-    in
-    { t with window; bindings }
-  in
-  let rec go t =
-    match t.window with
-    | e :: rest when e.executed ->
-        let t = { t with window = rest } in
-        let t =
-          match Instr.output_reg e.instr with
-          | Some r -> substitute e.eid e.result { t with written = IM.add r () t.written }
-          | None -> t
-        in
-        go t
-    | _ -> t
-  in
-  go t
+   results into later operands and the register bindings.  In place. *)
+let retire m s tid =
+  let ti = m.threads.(tid) in
+  let off = ti.off in
+  let w = s.(off + 1) in
+  let base = s.(tid) - w in
+  let k = ref 0 in
+  while !k < w && s.(entry off !k + f_flags) land executed_bit <> 0 do
+    let e = entry off !k in
+    let o = ti.out_slot.(s.(e)) in
+    if o >= 0 then begin
+      s.(ti.written_off + o) <- 1;
+      let eid = base + !k and v = s.(e + f_result) in
+      for j = !k + 1 to w - 1 do
+        let e' = entry off j in
+        for src = 0 to 1 do
+          if s.(e' + f_flags) land from_bit src <> 0 && s.(e' + f_src + src) = eid then begin
+            s.(e' + f_flags) <- s.(e' + f_flags) land lnot (from_bit src);
+            s.(e' + f_src + src) <- v
+          end
+        done
+      done;
+      for slot = 0 to Array.length ti.regs - 1 do
+        let b = ti.regs_off + (2 * slot) in
+        if s.(b) = b_producer && s.(b + 1) = eid then begin
+          s.(b) <- b_value;
+          s.(b + 1) <- v
+        end
+      done
+    end;
+    incr k
+  done;
+  if !k > 0 then begin
+    Array.blit s (entry off !k) s (entry off 0) ((w - !k) * entry_stride);
+    s.(off + 1) <- w - !k
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Readiness.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let entry_value window eid =
-  let rec find = function
-    | [] -> None
-    | e :: rest -> if e.eid = eid then Some e else find rest
+let buffer_has_release s b =
+  let rec go i = i < s.(b) && (s.(b + 1 + (i * buffer_stride)) = k_release || go (i + 1)) in
+  go 0
+
+let buffer_has_store_to s b loc =
+  let rec go i =
+    i < s.(b)
+    && ((s.(b + 1 + (i * buffer_stride)) <> k_marker && s.(b + 2 + (i * buffer_stride)) = loc)
+       || go (i + 1))
   in
-  match find window with
-  | Some e when e.executed -> Some e.result
-  | Some _ | None -> None
+  go 0
 
-let source_value window = function
-  | Val v -> Some v
-  | From eid -> entry_value window eid
-
-let sources_ready window e = List.for_all (fun s -> source_value window s <> None) e.sources
-
-let source_values window e = List.map (fun s -> Option.get (source_value window s)) e.sources
-
-let older_entries window eid = List.filter (fun e -> e.eid < eid) window
-
-let is_full_barrier = function
-  | Instr.Barrier (Instr.Dmb_ish | Instr.Sync | Instr.Fence_sc) -> true
-  | _ -> false
-
-let is_load_barrier = function
-  | Instr.Barrier (Instr.Dmb_ishld | Instr.Lwsync | Instr.Fence_acq | Instr.Fence_acq_rel)
-    ->
-      true
-  | _ -> false
-
-let is_store_marker_barrier = function
-  | Instr.Barrier
-      (Instr.Dmb_ishst | Instr.Lwsync | Instr.Eieio | Instr.Fence_rel | Instr.Fence_acq_rel)
-    ->
-      true
-  | _ -> false
-
-let is_pipeline_barrier = function
-  | Instr.Barrier (Instr.Isb | Instr.Isync) -> true
-  | _ -> false
-
-let is_load e =
-  match e.instr with Instr.Load _ | Instr.Load_exclusive _ -> true | _ -> false
-
-let is_store e =
-  match e.instr with Instr.Store _ | Instr.Store_exclusive _ -> true | _ -> false
-
-let is_acquire_load e =
-  match e.instr with
-  | Instr.Load { order = Instr.Acquire | Instr.Acq_rel | Instr.Sc; _ }
-  | Instr.Load_exclusive { order = Instr.Acquire | Instr.Acq_rel | Instr.Sc; _ } ->
-      true
-  | _ -> false
-
-let is_release_store e =
-  match e.instr with
-  | Instr.Store { order = Instr.Release | Instr.Acq_rel | Instr.Sc; _ }
-  | Instr.Store_exclusive { order = Instr.Release | Instr.Acq_rel | Instr.Sc; _ } ->
-      true
-  | _ -> false
-
-(* The address a not-yet-executed memory entry will access, when its
-   address operand is already resolvable. *)
-let pending_address window e =
-  match e.instr with
-  | Instr.Load { addr; _ }
-  | Instr.Load_exclusive { addr; _ }
-  | Instr.Store { addr; _ }
-  | Instr.Store_exclusive { addr; _ } -> (
-      let source =
-        match addr with
-        | Instr.Imm l -> Some (Val l)
-        | Instr.Reg _ -> (
-            (* The address register is the only input for loads; for
-               stores it follows the value sources. *)
-            match (e.instr, e.sources) with
-            | (Instr.Load _ | Instr.Load_exclusive _), [ s ] -> Some s
-            | Instr.Store { src = Instr.Reg _; _ }, [ _; s ]
-            | Instr.Store_exclusive { src = Instr.Reg _; _ }, [ _; s ] ->
-                Some s
-            | Instr.Store { src = Instr.Imm _; _ }, [ s ]
-            | Instr.Store_exclusive { src = Instr.Imm _; _ }, [ s ] ->
-                Some s
-            | _ -> None)
-      in
-      match source with Some s -> source_value window s | None -> None)
-  | _ -> None
-
-(* Remove leading markers: a marker with nothing before it orders
-   nothing anymore. *)
-let rec normalise_buffer = function Bmarker :: rest -> normalise_buffer rest | b -> b
-
-let buffer_has_release buffer =
-  List.exists (function Bstore { release = true; _ } -> true | _ -> false) buffer
-
-let can_execute config t buffer e =
-  let older = older_entries t.window e.eid in
-  let older_all_done = List.for_all (fun o -> o.executed) older in
-  let older_loads_done = List.for_all (fun o -> (not (is_load o)) || o.executed) older in
-  let older_stores_done = List.for_all (fun o -> (not (is_store o)) || o.executed) older in
-  let blocking_acquire = List.exists (fun o -> is_acquire_load o && not o.executed) older in
-  let blocking_pipeline =
-    List.exists (fun o -> is_pipeline_barrier o.instr && not o.executed) older
+(* Whether some entry among the window's first [i] of class [cls] is
+   unexecuted and may access [loc]: its address is unknown, or known
+   and equal. *)
+let pending_at ti s off base i cls ~known ~loc =
+  let rec go j =
+    j < i
+    &&
+    let e = entry off j in
+    let pc = s.(e) in
+    (ti.cls.(pc) land cls <> 0
+    && s.(e + f_flags) land executed_bit = 0
+    && ((not known) || (not (addr_known ti s off base e pc)) || addr_of ti s off base e pc = loc))
+    || go (j + 1)
   in
-  if not (sources_ready t.window e) then false
-  else if blocking_pipeline then false
-  else if blocking_acquire && not (is_pipeline_barrier e.instr) then false
+  go 0
+
+(* Whether window entry [i] may execute.  [pend] holds the class bits
+   (with [c_any]) of every older unexecuted entry; [b] is the offset of
+   the thread's buffer. *)
+let can_execute m ti s off base i pend b =
+  let e = entry off i in
+  let pc = s.(e) in
+  let c = ti.cls.(pc) in
+  let rule = ti.rule.(pc) in
+  let ready =
+    (ti.nsrc.(pc) < 1 || src_ready s off base e 0) && (ti.nsrc.(pc) < 2 || src_ready s off base e 1)
+  in
+  if not ready then false
+  else if pend land c_pipeline <> 0 then false
+  else if pend land c_acquire <> 0 && rule <> r_all then false
+  else if rule = r_free then true
+  else if rule = r_full then pend = 0 && s.(b) = 0
+  else if rule = r_loads then pend land c_load = 0
+  else if rule = r_loads_stores then pend land (c_load lor c_store) = 0
+  else if rule = r_stores then pend land c_store = 0
+  else if rule = r_all then pend = 0
+  else if rule = r_store then
+    (* Stores enter the buffer in program order and never pass
+       barriers that order stores. *)
+    pend land c_store = 0
+    && (m.config.reorder_loads || pend land c_load = 0)
+    && pend land (c_full lor c_marker lor c_pipeline) = 0
+    && (c land c_release = 0 || pend = 0)
+    &&
+    (* A store-exclusive writes through: it may not overtake an own
+       buffered store to the same location. *)
+    (c land c_exclusive = 0
+    || addr_known ti s off base e pc
+       && not (buffer_has_store_to s b (addr_of ti s off base e pc)))
   else
-    match e.instr with
-    | Instr.Nop | Instr.Mov _ | Instr.Op _ -> true
-    | Instr.Cbnz _ | Instr.Cbz _ -> true
-    | Instr.Barrier (Instr.Dmb_ish | Instr.Sync | Instr.Fence_sc) ->
-        older_all_done && buffer = []
-    | Instr.Barrier (Instr.Dmb_ishld | Instr.Fence_acq) -> older_loads_done
-    | Instr.Barrier (Instr.Lwsync | Instr.Fence_rel | Instr.Fence_acq_rel) ->
-        older_loads_done && older_stores_done
-    | Instr.Barrier (Instr.Dmb_ishst | Instr.Eieio) -> older_stores_done
-    | Instr.Barrier (Instr.Isb | Instr.Isync) -> older_all_done
-    | Instr.Store { order; _ } | Instr.Store_exclusive { order; _ } ->
-        (* Stores enter the buffer in program order and never pass
-           barriers that order stores. *)
-        older_stores_done
-        && (config.reorder_loads || older_loads_done)
-        && List.for_all
-             (fun o ->
-               (not
-                  (is_full_barrier o.instr || is_store_marker_barrier o.instr
-                  || is_pipeline_barrier o.instr))
-               || o.executed)
-             older
-        && (match order with
-           | Instr.Release | Instr.Acq_rel | Instr.Sc ->
-               older_loads_done && older_all_done
-           | Instr.Plain | Instr.Acquire -> true)
-        &&
-        (* A store-exclusive writes through: it may not overtake an
-           own buffered store to the same location. *)
-        (match e.instr with
-        | Instr.Store_exclusive _ -> (
-            match pending_address t.window e with
-            | None -> false
-            | Some l ->
-                not
-                  (List.exists
-                     (function Bstore { loc; _ } -> loc = l | Bmarker -> false)
-                     buffer))
-        | _ -> true)
-    | Instr.Load { order; _ } | Instr.Load_exclusive { order; _ } -> (
-        let barrier_clear =
-          List.for_all
-            (fun o ->
-              (not (is_full_barrier o.instr || is_load_barrier o.instr)) || o.executed)
-            older
-        in
-        let load_order_ok =
-          if config.reorder_loads then
-            (* Even relaxed machines keep same-location loads in
-               order (coherence, CoRR); a load with an unresolved
-               address blocks younger loads conservatively. *)
-            let this_addr = pending_address t.window e in
-            List.for_all
-              (fun o ->
-                if is_load o && not o.executed then
-                  match (pending_address t.window o, this_addr) with
-                  | Some l', Some l -> l' <> l
-                  | _ -> false
-                else true)
-              older
-          else List.for_all (fun o -> (not (is_load o)) || o.executed) older
-        in
-        (* A load may not bypass an older store whose address is
-           unknown, nor an older unexecuted store to the same
-           location (it will forward from it once executed). *)
-        let this_addr = pending_address t.window e in
-        let store_hazard_clear =
-          match this_addr with
-          | None -> false
-          | Some l ->
-              List.for_all
-                (fun o ->
-                  if is_store o && not o.executed then
-                    match pending_address t.window o with
-                    | None -> false
-                    | Some l' -> l' <> l
-                  else true)
-                older
-        in
-        barrier_clear && load_order_ok && store_hazard_clear
-        &&
-        match order with
-        | Instr.Acquire | Instr.Acq_rel | Instr.Sc ->
-            (* RCsc: a load-acquire is ordered after every older
-               store-release, whether still in the window or in the
-               buffer. *)
-            (not (buffer_has_release buffer))
-            && List.for_all (fun o -> (not (is_release_store o)) || o.executed) older
-        | Instr.Plain | Instr.Release -> true)
-
-(* ------------------------------------------------------------------ *)
-(* Effects.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let forwardable_value window buffer eid loc =
-  (* Youngest program-order-earlier store to [loc] still visible
-     locally, across both the window and the store buffer (a store
-     can appear in both; the values agree). *)
-  let candidates =
-    List.filter_map
-      (fun o ->
-        if o.eid < eid && is_store o && o.executed && o.resolved_loc = loc then
-          Some (o.eid, o.store_value)
-        else None)
-      window
-    @ List.filter_map
-        (function
-          | Bstore { loc = l; value; eid = store_eid; _ } when l = loc && store_eid < eid ->
-              Some (store_eid, value)
-          | Bstore _ | Bmarker -> None)
-        buffer
-  in
-  List.fold_left
-    (fun acc (store_eid, value) ->
-      match acc with
-      | Some (best, _) when best >= store_eid -> acc
-      | _ -> Some (store_eid, value))
-    None candidates
-  |> Option.map snd
-
-let mark_executed ?(store_value = 0) t eid ~result ~resolved_loc =
-  {
-    t with
-    window =
-      List.map
-        (fun e ->
-          if e.eid = eid then { e with executed = true; result; store_value; resolved_loc }
-          else e)
-        t.window;
-  }
-
-let read_memory memory loc = match IM.find_opt loc memory with Some v -> v | None -> 0
-
-(* [emit] receives the canonical memory event of each executed
-   instruction (reads, globally visible writes, fences) keyed by the
-   entry's eid, which numbers instructions in fetch = program order -
-   sorting a thread's emissions by eid therefore reconstructs the
-   program-order event trace even when the window executed them out of
-   order.  Failed store-exclusives emit nothing, matching the
-   canonical trace representation. *)
-let execute_entry ?(emit = fun ~tid:_ ~eid:_ _ -> ()) config (program : Program.thread)
-    state tid eid =
-  let t = state.threads.(tid) in
-  let e = List.find (fun e -> e.eid = eid) t.window in
-  let values = source_values t.window e in
-  let threads = Array.copy state.threads in
-  let buffers = Array.copy state.buffers in
-  let monitors = Array.copy state.monitors in
-  let memory = ref state.memory in
-  let finish t' =
-    threads.(tid) <- fetch config program (retire t');
-    { threads; buffers; memory = !memory; monitors }
-  in
-  (* A write to [loc] becoming visible revokes every other thread's
-     exclusive monitor on it. *)
-  let revoke_monitors loc =
-    Array.iteri
-      (fun i m -> if i <> tid && m = Some loc then monitors.(i) <- None)
-      monitors
-  in
-  match e.instr with
-  | Instr.Nop -> finish (mark_executed t eid ~result:0 ~resolved_loc:(-1))
-  | Instr.Mov { src; _ } ->
-      let v =
-        match src with
-        | Instr.Imm v -> v
-        | Instr.Reg _ -> ( match values with [ v ] -> v | _ -> 0)
-      in
-      finish (mark_executed t eid ~result:v ~resolved_loc:(-1))
-  | Instr.Op { op; a; b; _ } ->
-      let take_imm operand values =
-        match operand with
-        | Instr.Imm v -> (v, values)
-        | Instr.Reg _ -> (
-            match values with v :: rest -> (v, rest) | [] -> (0, []))
-      in
-      let va, rest = take_imm a values in
-      let vb, _ = take_imm b rest in
-      finish (mark_executed t eid ~result:(Instr.eval_binop op va vb) ~resolved_loc:(-1))
-  | Instr.Cbnz { offset; _ } | Instr.Cbz { offset; _ } ->
-      let v = match values with [ v ] -> v | _ -> 0 in
-      let taken = match e.instr with Instr.Cbnz _ -> v <> 0 | _ -> v = 0 in
-      let t = mark_executed t eid ~result:0 ~resolved_loc:(-1) in
-      let t = if taken then { t with pc = e.at_pc + 1 + offset } else t in
-      finish t
-  | Instr.Barrier b ->
-      emit ~tid ~eid (Wmm_cert.Trace.Fence b);
-      let t = mark_executed t eid ~result:0 ~resolved_loc:(-1) in
-      (match b with
-      | Instr.Dmb_ishst | Instr.Lwsync | Instr.Eieio | Instr.Fence_rel
-      | Instr.Fence_acq_rel ->
-          (* Normalise: a marker with nothing before it orders
-             nothing (and would wedge full barriers waiting on an
-             empty buffer). *)
-          buffers.(tid) <- normalise_buffer (buffers.(tid) @ [ Bmarker ])
-      | Instr.Dmb_ish | Instr.Dmb_ishld | Instr.Isb | Instr.Sync | Instr.Isync
-      | Instr.Fence_acq | Instr.Fence_sc ->
-          ());
-      finish t
-  | Instr.Store { src; addr; order } ->
-      let value, loc =
-        match (src, addr, values) with
-        | Instr.Imm v, Instr.Imm l, [] -> (v, l)
-        | Instr.Imm v, Instr.Reg _, [ l ] -> (v, l)
-        | Instr.Reg _, Instr.Imm l, [ v ] -> (v, l)
-        | Instr.Reg _, Instr.Reg _, [ v; l ] -> (v, l)
-        | _ -> failwith "Relaxed: malformed store operands"
-      in
-      emit ~tid ~eid (Wmm_cert.Trace.Write { loc; value; order; rmw = false });
-      if config.synchronous_stores then begin
-        memory := IM.add loc value !memory;
-        revoke_monitors loc
-      end
-      else
-        buffers.(tid) <-
-          buffers.(tid) @ [ Bstore { loc; value; release = order = Instr.Release; eid } ];
-      finish (mark_executed ~store_value:value t eid ~result:value ~resolved_loc:loc)
-  | Instr.Load { addr; order; _ } | Instr.Load_exclusive { addr; order; _ } ->
-      let loc =
-        match (addr, values) with
-        | Instr.Imm l, [] -> l
-        | Instr.Reg _, [ l ] -> l
-        | _ -> failwith "Relaxed: malformed load operands"
-      in
-      let value =
-        match forwardable_value t.window state.buffers.(tid) eid loc with
-        | Some v -> v
-        | None -> read_memory state.memory loc
-      in
-      emit ~tid ~eid (Wmm_cert.Trace.Read { loc; value; order });
-      (match e.instr with
-      | Instr.Load_exclusive _ -> monitors.(tid) <- Some loc
-      | _ -> ());
-      finish (mark_executed t eid ~result:value ~resolved_loc:loc)
-  | Instr.Store_exclusive { src; addr; order; _ } ->
-      let value, loc =
-        match (src, addr, values) with
-        | Instr.Imm v, Instr.Imm l, [] -> (v, l)
-        | Instr.Imm v, Instr.Reg _, [ l ] -> (v, l)
-        | Instr.Reg _, Instr.Imm l, [ v ] -> (v, l)
-        | Instr.Reg _, Instr.Reg _, [ v; l ] -> (v, l)
-        | _ -> failwith "Relaxed: malformed store-exclusive operands"
-      in
-      if monitors.(tid) = Some loc then begin
-        (* Success: the exclusive write commits through the coherence
-           layer immediately, revoking competing monitors. *)
-        emit ~tid ~eid (Wmm_cert.Trace.Write { loc; value; order; rmw = true });
-        memory := IM.add loc value !memory;
-        monitors.(tid) <- None;
-        revoke_monitors loc;
-        finish (mark_executed ~store_value:value t eid ~result:0 ~resolved_loc:loc)
-      end
-      else begin
-        monitors.(tid) <- None;
-        finish (mark_executed t eid ~result:1 ~resolved_loc:(-1))
-      end
+    let known = addr_known ti s off base e pc in
+    let loc = addr_of ti s off base e pc in
+    pend land (c_full lor c_load_barrier) = 0
+    (* Even relaxed machines keep same-location loads in order
+       (coherence, CoRR); a load with an unresolved address blocks
+       younger loads conservatively. *)
+    && (pend land c_load = 0
+       || (m.config.reorder_loads && not (pending_at ti s off base i c_load ~known ~loc)))
+    (* A load may not bypass an older store whose address is unknown,
+       nor an older unexecuted store to the same location (it will
+       forward from it once executed). *)
+    && known
+    && (pend land c_store = 0 || not (pending_at ti s off base i c_store ~known ~loc))
+    &&
+    (* RCsc: a load-acquire is ordered after every older store-release,
+       whether still in the window or in the buffer. *)
+    (c land c_acquire = 0 || ((not (buffer_has_release s b)) && pend land c_release = 0))
 
 (* ------------------------------------------------------------------ *)
 (* Store buffer drains.                                                *)
@@ -535,163 +506,526 @@ let execute_entry ?(emit = fun ~tid:_ ~eid:_ _ -> ()) config (program : Program.
    same-address (or unresolved-address) load is still pending in the
    window: draining it would let that load read a program-order-later
    value, violating coherence (CoWR). *)
-let blocked_by_older_load window entry_eid entry_loc =
-  List.exists
-    (fun o ->
-      is_load o && (not o.executed) && o.eid < entry_eid
-      &&
-      match pending_address window o with
-      | None -> true
-      | Some l -> l = entry_loc)
-    window
-
-let drainable_indices config window buffer =
-  let buffer = normalise_buffer buffer in
-  match buffer with
-  | [] -> []
-  | _ when config.fifo_buffer -> (
-      match buffer with
-      | Bstore { eid; loc; _ } :: _ when not (blocked_by_older_load window eid loc) -> [ 0 ]
-      | _ -> [])
-  | _ ->
-      (* Any store before the first marker may drain, except when an
-         earlier entry targets the same location (per-location FIFO),
-         a release entry intervenes (release = full marker), or an
-         older same-address load is still pending. *)
-      let rec candidates idx seen_locs acc = function
-        | [] -> List.rev acc
-        | Bmarker :: _ -> List.rev acc
-        | Bstore { release = true; loc; eid; _ } :: _ ->
-            (* A release store may drain only if it is first. *)
-            let acc =
-              if idx = 0 && not (blocked_by_older_load window eid loc) then idx :: acc
-              else acc
-            in
-            List.rev acc
-        | Bstore { loc; eid; _ } :: rest ->
-            let acc =
-              if List.mem loc seen_locs || blocked_by_older_load window eid loc then acc
-              else idx :: acc
-            in
-            candidates (idx + 1) (loc :: seen_locs) acc rest
-      in
-      candidates 0 [] [] buffer
-
-let drain_at config state tid idx =
-  let buffer = normalise_buffer state.buffers.(tid) in
-  let rec remove i = function
-    | [] -> failwith "Relaxed: drain index out of range"
-    | b :: rest ->
-        if i = 0 then (b, rest)
-        else begin
-          let removed, remaining = remove (i - 1) rest in
-          (removed, b :: remaining)
-        end
-  in
-  let removed, remaining = remove idx buffer in
-  match removed with
-  | Bmarker -> failwith "Relaxed: draining a marker"
-  | Bstore { loc; value; _ } ->
-      let buffers = Array.copy state.buffers in
-      buffers.(tid) <- normalise_buffer remaining;
-      let monitors = Array.copy state.monitors in
-      Array.iteri
-        (fun i m -> if i <> tid && m = Some loc then monitors.(i) <- None)
-        monitors;
-      ignore config;
-      { state with buffers; memory = IM.add loc value state.memory; monitors }
+let blocked_by_older_load ti s off base w eid loc =
+  pending_at ti s off base (min w (eid - base)) c_load ~known:true ~loc
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let enabled_actions config state =
-  let actions = ref [] in
-  Array.iteri
-    (fun tid t ->
-      List.iter
-        (fun e ->
-          if (not e.executed) && can_execute config t state.buffers.(tid) e then
-            actions := Execute (tid, e.eid) :: !actions)
-        t.window;
-      List.iter
-        (fun idx -> actions := Drain (tid, idx) :: !actions)
-        (drainable_indices config t.window state.buffers.(tid)))
-    state.threads;
-  List.rev !actions
+(* An action is [(index lsl 21) lor (tid lsl 1) lor kind]: kind 0
+   executes window entry [index], kind 1 drains buffer entry [index]. *)
+let execute_action tid i = (i lsl 21) lor (tid lsl 1)
+let drain_action tid i = (i lsl 21) lor (tid lsl 1) lor 1
 
-let apply_action ?emit config (program : Program.t) state = function
-  | Execute (tid, eid) ->
-      execute_entry ?emit config program.Program.threads.(tid) state tid eid
-  | Drain (tid, idx) -> drain_at config state tid idx
+let push m k a =
+  if k = Array.length m.scratch then begin
+    let bigger = Array.make (2 * k) 0 in
+    Array.blit m.scratch 0 bigger 0 k;
+    m.scratch <- bigger
+  end;
+  m.scratch.(k) <- a;
+  k + 1
 
-let initial_state (program : Program.t) config =
-  let memory =
-    List.fold_left
-      (fun acc l -> IM.add l (Program.initial_value program l) acc)
-      IM.empty (Program.locations program)
+(* Whether buffer entry [i] (at [b]) must wait for an older load. *)
+let drain_blocked ti s off base w b i =
+  let p = b + 1 + (i * buffer_stride) in
+  blocked_by_older_load ti s off base w s.(p + 3) s.(p + 1)
+
+(* Whether a buffer entry before [i] stores to the location of [i]. *)
+let earlier_same_loc s b i =
+  let loc = s.(b + 2 + (i * buffer_stride)) in
+  let rec go j = j < i && (s.(b + 2 + (j * buffer_stride)) = loc || go (j + 1)) in
+  go 0
+
+(* Every enabled action: per thread, the executable window entries
+   oldest first, then the drainable buffer entries.  One pass over
+   each window accumulates the classes of the older unexecuted
+   entries. *)
+let enabled_actions m s =
+  let k = ref 0 in
+  let b = ref (m.tail_off + 1 + (2 * s.(m.tail_off))) in
+  for tid = 0 to Array.length m.threads - 1 do
+    let ti = m.threads.(tid) in
+    let off = ti.off in
+    let w = s.(off + 1) in
+    let base = s.(tid) - w in
+    let b' = !b in
+    let pend = ref 0 in
+    for i = 0 to w - 1 do
+      let e = entry off i in
+      if s.(e + f_flags) land executed_bit = 0 then begin
+        if can_execute m ti s off base i !pend b' then k := push m !k (execute_action tid i);
+        pend := !pend lor ti.cls.(s.(e)) lor c_any
+      end
+    done;
+    let len = s.(b') in
+    if len > 0 && m.config.fifo_buffer then begin
+      if s.(b' + 1) <> k_marker && not (drain_blocked ti s off base w b' 0) then
+        k := push m !k (drain_action tid 0)
+    end
+    else begin
+      (* Any store before the first marker may drain, except when an
+         earlier entry targets the same location (per-location FIFO),
+         a release entry intervenes (release = full marker), or an
+         older same-address load is still pending. *)
+      let i = ref 0 in
+      while !i < len do
+        let kind = s.(b' + 1 + (!i * buffer_stride)) in
+        if kind = k_store then begin
+          if not (earlier_same_loc s b' !i || drain_blocked ti s off base w b' !i) then
+            k := push m !k (drain_action tid !i);
+          incr i
+        end
+        else begin
+          (* A release store may drain only if it is first. *)
+          if kind = k_release && !i = 0 && not (drain_blocked ti s off base w b' 0) then
+            k := push m !k (drain_action tid 0);
+          i := len
+        end
+      done
+    end;
+    b := b' + 1 + (buffer_stride * len)
+  done;
+  Array.sub m.scratch 0 !k
+
+(* ------------------------------------------------------------------ *)
+(* Effects.                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Youngest program-order-earlier store to [loc] still visible
+   locally, across both the window and the store buffer (a store can
+   appear in both; the values agree, and the window's wins). *)
+let forwardable_value ti s off base w b eid loc =
+  let best = ref (-1) and value = ref None in
+  for j = 0 to w - 1 do
+    let e = entry off j in
+    if base + j < eid && base + j > !best
+       && ti.cls.(s.(e)) land c_store <> 0
+       && s.(e + f_flags) land executed_bit <> 0
+       && s.(e + f_loc) = loc
+    then begin
+      best := base + j;
+      value := Some s.(e + f_store_value)
+    end
+  done;
+  for j = 0 to s.(b) - 1 do
+    let p = b + 1 + (j * buffer_stride) in
+    if s.(p) <> k_marker && s.(p + 1) = loc && s.(p + 3) < eid && s.(p + 3) > !best then begin
+      best := s.(p + 3);
+      value := Some s.(p + 2)
+    end
+  done;
+  !value
+
+(* An immediate, or the value its register operand resolved to. *)
+let operand o v = match o with Instr.Imm x -> x | Instr.Reg _ -> v
+
+(* The successor of [s] after window entry [i] of [tid] executes;
+   [s] itself is left as it was.  [emit] receives the canonical memory
+   event of each executed instruction (reads, globally visible writes,
+   fences) keyed by the entry's eid, which numbers instructions in
+   fetch = program order - sorting a thread's emissions by eid
+   therefore reconstructs the program-order event trace even when the
+   window executed them out of order.  Failed store-exclusives emit
+   nothing, matching the canonical trace representation. *)
+let execute ?emit m s tid i =
+  let ti = m.threads.(tid) in
+  let off = ti.off in
+  let w = s.(off + 1) in
+  let base = s.(tid) - w in
+  let e = entry off i in
+  let pc = s.(e) in
+  let eid = base + i in
+  let n = ti.nsrc.(pc) in
+  let v0 = if n > 0 then src_value s off base e 0 else 0 in
+  let v1 = if n > 1 then src_value s off base e 1 else 0 in
+  let last = if n > 1 then v1 else v0 in
+  let finish ?(store_value = 0) s ~result ~loc =
+    s.(e + f_flags) <- s.(e + f_flags) lor executed_bit;
+    s.(e + f_result) <- result;
+    s.(e + f_store_value) <- store_value;
+    s.(e + f_loc) <- loc;
+    retire m s tid;
+    fetch m s tid;
+    s
   in
+  match ti.code.(pc) with
+  | Instr.Nop -> finish (Array.copy s) ~result:0 ~loc:(-1)
+  | Instr.Mov { src; _ } -> finish (Array.copy s) ~result:(operand src v0) ~loc:(-1)
+  | Instr.Op { op; a; b; _ } ->
+      let vb = operand b (match a with Instr.Imm _ -> v0 | Instr.Reg _ -> v1) in
+      finish (Array.copy s) ~result:(Instr.eval_binop op (operand a v0) vb) ~loc:(-1)
+  | Instr.Cbnz { offset; _ } | Instr.Cbz { offset; _ } ->
+      let taken = match ti.code.(pc) with Instr.Cbnz _ -> v0 <> 0 | _ -> v0 = 0 in
+      let s = Array.copy s in
+      if taken then s.(off) <- pc + 1 + offset;
+      finish s ~result:0 ~loc:(-1)
+  | Instr.Barrier b ->
+      (match emit with Some f -> f ~tid ~eid (Wmm_cert.Trace.Fence b) | None -> ());
+      (* A marker with nothing before it orders nothing (and would
+         wedge full barriers waiting on an empty buffer). *)
+      let s =
+        if ti.cls.(pc) land c_marker <> 0 && s.(buffer_off m s tid) > 0 then
+          buffer_append s (buffer_off m s tid) k_marker ~loc:0 ~value:0 ~eid:0
+        else Array.copy s
+      in
+      finish s ~result:0 ~loc:(-1)
+  | Instr.Store { src; addr; order } ->
+      let v = operand src v0 and loc = operand addr last in
+      (match emit with
+      | Some f -> f ~tid ~eid (Wmm_cert.Trace.Write { loc; value = v; order; rmw = false })
+      | None -> ());
+      let s =
+        if m.config.synchronous_stores then begin
+          let s = write_memory m (Array.copy s) loc v in
+          revoke_monitors m s tid loc;
+          s
+        end
+        else
+          let kind = if order = Instr.Release then k_release else k_store in
+          buffer_append s (buffer_off m s tid) kind ~loc ~value:v ~eid
+      in
+      finish ~store_value:v s ~result:v ~loc
+  | Instr.Load { addr; order; _ } | Instr.Load_exclusive { addr; order; _ } ->
+      let loc = operand addr v0 in
+      let v =
+        match forwardable_value ti s off base w (buffer_off m s tid) eid loc with
+        | Some v -> v
+        | None -> read_memory m s loc
+      in
+      (match emit with
+      | Some f -> f ~tid ~eid (Wmm_cert.Trace.Read { loc; value = v; order })
+      | None -> ());
+      let s = Array.copy s in
+      if ti.cls.(pc) land c_exclusive <> 0 then set_monitor m s tid loc;
+      finish s ~result:v ~loc
+  | Instr.Store_exclusive { src; addr; order; _ } ->
+      let v = operand src v0 and loc = operand addr last in
+      let p = m.mon_off + (2 * tid) in
+      if s.(p) = 1 && s.(p + 1) = loc then begin
+        (* Success: the exclusive write commits through the coherence
+           layer immediately, revoking competing monitors. *)
+        (match emit with
+        | Some f -> f ~tid ~eid (Wmm_cert.Trace.Write { loc; value = v; order; rmw = true })
+        | None -> ());
+        let s = write_memory m (Array.copy s) loc v in
+        clear_monitor m s tid;
+        revoke_monitors m s tid loc;
+        finish ~store_value:v s ~result:0 ~loc
+      end
+      else begin
+        let s = Array.copy s in
+        clear_monitor m s tid;
+        finish s ~result:1 ~loc:(-1)
+      end
+
+let drain m s tid idx =
+  let b = buffer_off m s tid in
+  let n = s.(b) in
+  let p = b + 1 + (idx * buffer_stride) in
+  let loc = s.(p + 1) and value = s.(p + 2) in
+  (* Markers left at the head order nothing anymore. *)
+  let removed = ref 1 in
+  if idx = 0 then
+    while !removed < n && s.(p + (!removed * buffer_stride)) = k_marker do
+      incr removed
+    done;
+  let s = splice s p (!removed * buffer_stride) 0 in
+  s.(b) <- n - !removed;
+  let s = write_memory m s loc value in
+  revoke_monitors m s tid loc;
+  s
+
+let apply ?emit m s a =
+  let tid = (a lsr 1) land 0xfffff and i = a lsr 21 in
+  if a land 1 = 0 then execute ?emit m s tid i else drain m s tid i
+
+(* ------------------------------------------------------------------ *)
+(* Set-up, final states, keys.                                         *)
+(* ------------------------------------------------------------------ *)
+
+let machine config (program : Program.t) =
+  let nt = Array.length program.Program.threads in
+  let regs = Array.map output_regs program.Program.threads in
+  let key_off = Array.fold_left (fun acc r -> acc + Array.length r) nt regs in
+  let off = ref key_off and written_off = ref nt in
   let threads =
-    Array.map
-      (fun _ ->
-        { pc = 0; next_eid = 0; window = []; bindings = IM.empty; written = IM.empty })
+    Array.mapi
+      (fun tid code ->
+        let ti, next =
+          thread_info config ~off:!off ~written_off:!written_off ~regs:regs.(tid) code
+        in
+        off := next;
+        written_off := !written_off + Array.length ti.regs;
+        ti)
       program.Program.threads
   in
+  let locs = Array.of_list (Program.locations program) in
+  let table = Array.fold_left (fun acc l -> if l < 1024 then max acc (l + 1) else acc) 0 locs in
+  let loc_slots = Array.make table (-1) in
+  Array.iteri (fun i l -> if l >= 0 && l < table then loc_slots.(l) <- i) locs;
+  let mem_off = !off in
+  let mon_off = mem_off + Array.length locs in
+  let tail_off = mon_off + (2 * nt) in
+  let m =
+    {
+      config;
+      threads;
+      locs;
+      loc_slots;
+      mem_off;
+      mon_off;
+      tail_off;
+      init = Array.make (tail_off + 1 + nt) 0;
+      scratch = Array.make 16 0;
+      key = Bytes.create 256;
+    }
+  in
+  Array.iteri (fun i l -> m.init.(mem_off + i) <- Program.initial_value program l) locs;
+  for tid = 0 to nt - 1 do
+    fetch m m.init tid
+  done;
+  m
+
+let prepare config program =
+  (match Program.validate program with Ok () -> () | Error msg -> invalid_arg msg);
+  machine config program
+
+(* Every window and buffer is empty: the tail holds only the extra
+   memory cells and one zero length per buffer. *)
+let finished m s =
+  Array.for_all (fun ti -> s.(ti.off + 1) = 0) m.threads
+  && Array.length s = m.tail_off + 1 + (2 * s.(m.tail_off)) + Array.length m.threads
+
+let outcome_of_state m s =
+  let registers = ref [] in
   Array.iteri
-    (fun tid t -> threads.(tid) <- fetch config program.Program.threads.(tid) t)
-    threads;
+    (fun tid ti ->
+      Array.iteri
+        (fun slot r ->
+          if s.(ti.written_off + slot) = 1 then begin
+            let b = ti.regs_off + (2 * slot) in
+            let v = if s.(b) = b_value then s.(b + 1) else 0 in
+            registers := ((tid, r), v) :: !registers
+          end)
+        ti.regs)
+    m.threads;
   {
-    threads;
-    buffers = Array.map (fun _ -> []) program.Program.threads;
-    memory;
-    monitors = Array.map (fun _ -> None) program.Program.threads;
+    registers = List.sort compare !registers;
+    memory = Array.to_list (Array.map (fun l -> (l, read_memory m s l)) m.locs);
   }
 
-let finished state =
-  Array.for_all (fun t -> t.window = []) state.threads
-  && Array.for_all (fun b -> normalise_buffer b = []) state.buffers
+(* Zigzag varint: one byte for -64..63. *)
+let rec put_varint k p z =
+  if z lsr 7 = 0 then begin
+    Bytes.unsafe_set k p (Char.unsafe_chr z);
+    p + 1
+  end
+  else begin
+    Bytes.unsafe_set k p (Char.unsafe_chr (z land 127 lor 128));
+    put_varint k (p + 1) (z lsr 7)
+  end
 
-let outcome_of_state (program : Program.t) state =
-  let registers =
-    Array.to_list state.threads
-    |> List.mapi (fun tid t ->
-           IM.fold
-             (fun r () acc ->
-               let v =
-                 match IM.find_opt r t.bindings with
-                 | Some (Value v) -> v
-                 | Some (Producer _) | None -> 0
-               in
-               ((tid, r), v) :: acc)
-             t.written [])
-    |> List.concat |> List.sort compare
-  in
-  let memory =
-    List.map (fun l -> (l, read_memory state.memory l)) (Program.locations program)
-  in
-  { registers; memory }
+let[@inline] put k p v =
+  let z = (v lsl 1) lxor (v asr 62) in
+  if z land lnot 127 = 0 then begin
+    Bytes.unsafe_set k p (Char.unsafe_chr z);
+    p + 1
+  end
+  else put_varint k p z
 
-let run_internal ?emit config ~seed (program : Program.t) =
-  (match Program.validate program with Ok () -> () | Error m -> invalid_arg m);
+(* Writes the key of [s] to [m.key] and returns its length.  It holds
+   the key region plus each thread's window base eid, and leaves out
+   the bookkeeping ints, window slots past the window's length, and
+   every field that is constant or determined by the fields it holds:
+   an entry's operands beyond its instruction's inputs; its result,
+   stored value and location before it executes; a stored value except
+   for stores and a location except for memory accesses (0 and -1
+   otherwise); the pc of an entry of a thread without branches (its
+   eid); the value of an absent binding or monitor and the fields of
+   a buffer marker (0).  So two states share a key exactly when they
+   agree on every pc, window entry (eid, pc, operands, executed,
+   result, stored value, location), register binding, buffer, memory
+   cell and monitor. *)
+let encode m s =
+  let need = 9 * Array.length s in
+  if Bytes.length m.key < need then m.key <- Bytes.create need;
+  let k = m.key in
+  let p = ref 0 in
+  for tid = 0 to Array.length m.threads - 1 do
+    let ti = m.threads.(tid) in
+    let off = ti.off in
+    let w = s.(off + 1) in
+    p := put k !p (s.(off));
+    p := put k !p w;
+    if w > 0 then p := put k !p (s.(tid) - w);
+    for i = 0 to w - 1 do
+      let e = entry off i in
+      let pc = s.(e) and flags = s.(e + f_flags) in
+      if ti.branches then p := put k !p pc;
+      p := put k !p flags;
+      if flags land executed_bit <> 0 then begin
+        p := put k !p (s.(e + f_result));
+        let c = ti.cls.(pc) in
+        if c land c_store <> 0 then p := put k !p (s.(e + f_store_value));
+        if c land (c_load lor c_store) <> 0 then p := put k !p (s.(e + f_loc))
+      end;
+      for src = 0 to ti.nsrc.(pc) - 1 do
+        p := put k !p (s.(e + f_src + src))
+      done
+    done;
+    for slot = 0 to Array.length ti.regs - 1 do
+      let b = ti.regs_off + (2 * slot) in
+      p := put k !p (s.(b));
+      if s.(b) <> b_absent then p := put k !p (s.(b + 1))
+    done
+  done;
+  for i = m.mem_off to m.mon_off - 1 do
+    p := put k !p (s.(i))
+  done;
+  for i = 0 to Array.length m.threads - 1 do
+    let b = m.mon_off + (2 * i) in
+    p := put k !p (s.(b));
+    if s.(b) <> 0 then p := put k !p (s.(b + 1))
+  done;
+  let extras = s.(m.tail_off) in
+  for i = m.tail_off to m.tail_off + (2 * extras) do
+    p := put k !p (s.(i))
+  done;
+  let b = ref (m.tail_off + 1 + (2 * extras)) in
+  for _ = 1 to Array.length m.threads do
+    let len = s.(!b) in
+    p := put k !p len;
+    for i = 0 to len - 1 do
+      let e = !b + 1 + (i * buffer_stride) in
+      p := put k !p (s.(e));
+      if s.(e) <> k_marker then begin
+        p := put k !p (s.(e + 1));
+        p := put k !p (s.(e + 2));
+        p := put k !p (s.(e + 3))
+      end
+    done;
+    b := !b + 1 + (len * buffer_stride)
+  done;
+  !p
+
+(* The seen set: open addressing over keys stored back to back in one
+   byte arena, each after its varint length.  A slot holds 31 bits of
+   the key's hash above its arena offset plus one: probes compare
+   those bits before reading the arena, and growing re-slots without
+   re-hashing.  A lookup reads the probed key in place; only a new key
+   is copied. *)
+module Seen = struct
+  type t = {
+    mutable slots : int array;
+    mutable arena : Bytes.t;
+    mutable used : int;  (** Arena bytes in use. *)
+    mutable count : int;  (** Keys stored. *)
+  }
+
+  let create () = { slots = Array.make 256 0; arena = Bytes.create 1024; used = 0; count = 0 }
+
+  let offset_bits = 32
+  let offset_mask = (1 lsl offset_bits) - 1
+
+  (* FNV-1a over 8-byte words and the trailing bytes, then a final mix
+     so that the 31 bits kept depend on every byte. *)
+  let hash b len =
+    let h = ref 0x3c6ef372fe94f82b in
+    let words = len / 8 in
+    for i = 0 to words - 1 do
+      h := (!h lxor Int64.to_int (Bytes.get_int64_le b (8 * i))) * 0x100000001b3
+    done;
+    for i = 8 * words to len - 1 do
+      h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
+    done;
+    let h = !h lxor (!h lsr 29) in
+    let h = h * 0x3f4a7c15 in
+    (h lxor (h lsr 32)) land 0x7fffffff
+
+  let rec key_start a p = if Char.code (Bytes.get a p) < 128 then p + 1 else key_start a (p + 1)
+
+  let rec key_length a p shift acc =
+    let c = Char.code (Bytes.get a p) in
+    let acc = acc lor ((c land 127) lsl shift) in
+    if c < 128 then acc else key_length a (p + 1) (shift + 7) acc
+
+  let rec same_bytes a start b i len =
+    i = len
+    || (Bytes.unsafe_get a (start + i) = Bytes.unsafe_get b i && same_bytes a start b (i + 1) len)
+
+  let rec same_words a start b i len =
+    if i + 8 > len then same_bytes a start b i len
+    else
+      (Bytes.get_int64_le a (start + i) : int64) = Bytes.get_int64_le b i
+      && same_words a start b (i + 8) len
+
+  (* Whether the key at arena offset [off] is the first [len] bytes of [b]. *)
+  let equal a off b len = key_length a off 0 0 = len && same_words a (key_start a off) b 0 len
+
+  let rec place slots v i =
+    if slots.(i) = 0 then slots.(i) <- v else place slots v ((i + 1) land (Array.length slots - 1))
+
+  let grow t =
+    let slots = Array.make (2 * Array.length t.slots) 0 in
+    let mask = Array.length slots - 1 in
+    Array.iter (fun v -> if v <> 0 then place slots v ((v lsr offset_bits) land mask)) t.slots;
+    t.slots <- slots
+
+  let append t b len =
+    let need = t.used + 10 + len in
+    if need > offset_mask then failwith "Relaxed.enumerate: seen set full";
+    if need > Bytes.length t.arena then begin
+      let arena = Bytes.create (max need (2 * Bytes.length t.arena)) in
+      Bytes.blit t.arena 0 arena 0 t.used;
+      t.arena <- arena
+    end;
+    let off = t.used in
+    let start = put_varint t.arena off len in
+    Bytes.blit b 0 t.arena start len;
+    t.used <- start + len;
+    off
+
+  (* Adds the first [len] bytes of [b]; false if they were present. *)
+  let add t b len =
+    if 2 * (t.count + 1) > Array.length t.slots then grow t;
+    let h = hash b len in
+    let mask = Array.length t.slots - 1 in
+    let rec probe i =
+      let v = t.slots.(i) in
+      if v = 0 then begin
+        t.slots.(i) <- (h lsl offset_bits) lor (append t b len + 1);
+        t.count <- t.count + 1;
+        true
+      end
+      else if v lsr offset_bits = h && equal t.arena ((v land offset_mask) - 1) b len then false
+      else probe ((i + 1) land mask)
+    in
+    probe (h land mask)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Entry points.                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let run_machine ?emit m ~seed =
   let rng = Rng.create seed in
-  let rec go state steps =
+  let rec go s steps =
     if steps > 100_000 then failwith "Relaxed.run: step limit exceeded";
-    match enabled_actions config state with
-    | [] ->
-        if finished state then outcome_of_state program state
-        else failwith "Relaxed.run: machine deadlocked"
-    | actions ->
-        let action = Rng.choose rng (Array.of_list actions) in
-        go (apply_action ?emit config program state action) (steps + 1)
+    let actions = enabled_actions m s in
+    if Array.length actions = 0 then
+      if finished m s then outcome_of_state m s else failwith "Relaxed.run: machine deadlocked"
+    else go (apply ?emit m s (Rng.choose rng actions)) (steps + 1)
   in
-  go (initial_state program config) 0
+  go m.init 0
 
-let run config ~seed program = run_internal config ~seed program
+let run config ~seed program = run_machine (prepare config program) ~seed
 
 let run_traced config ~seed (program : Program.t) =
   let traces = Array.map (fun _ -> ref []) program.Program.threads in
   let emit ~tid ~eid action = traces.(tid) := (eid, action) :: !(traces.(tid)) in
-  let outcome = run_internal ~emit config ~seed program in
+  let outcome = run_machine ~emit (prepare config program) ~seed in
   let per_thread =
     Array.map
       (fun entries ->
@@ -701,10 +1035,11 @@ let run_traced config ~seed (program : Program.t) =
   (outcome, per_thread)
 
 let collect config ~seed ~iterations program =
+  let m = lazy (prepare config program) in
   let table = Hashtbl.create 64 in
   for i = 0 to iterations - 1 do
     if i land 63 = 0 then Cancel.check_ambient ();
-    let o = run config ~seed:(seed + (i * 7919)) program in
+    let o = run_machine (Lazy.force m) ~seed:(seed + (i * 7919)) in
     let current = try Hashtbl.find table o with Not_found -> 0 in
     Hashtbl.replace table o (current + 1)
   done;
@@ -712,32 +1047,22 @@ let collect config ~seed ~iterations program =
   |> List.sort (fun (a, _) (b, _) -> compare_outcome a b)
 
 let enumerate ?(max_states = 500_000) config (program : Program.t) =
-  (match Program.validate program with Ok () -> () | Error m -> invalid_arg m);
-  let seen = Hashtbl.create 4096 in
+  let m = prepare config program in
+  let seen = Seen.create () in
   let outcomes = Hashtbl.create 64 in
   let visited = ref 0 in
-  let key state =
-    Marshal.to_string
-      ( Array.map (fun t -> (t.pc, t.window, IM.bindings t.bindings)) state.threads,
-        state.buffers,
-        IM.bindings state.memory,
-        state.monitors )
-      []
-  in
-  let rec explore state =
-    let k = key state in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
+  let rec explore s =
+    let len = encode m s in
+    if Seen.add seen m.key len then begin
       incr visited;
       if !visited land 1023 = 0 then Cancel.check_ambient ();
       if !visited > max_states then failwith "Relaxed.enumerate: state limit exceeded";
-      match enabled_actions config state with
-      | [] ->
-          if finished state then Hashtbl.replace outcomes (outcome_of_state program state) ()
-          else failwith "Relaxed.enumerate: machine deadlocked"
-      | actions ->
-          List.iter (fun a -> explore (apply_action config program state a)) actions
+      let actions = enabled_actions m s in
+      if Array.length actions = 0 then
+        if finished m s then Hashtbl.replace outcomes (outcome_of_state m s) ()
+        else failwith "Relaxed.enumerate: machine deadlocked"
+      else Array.iter (fun a -> explore (apply m s a)) actions
     end
   in
-  explore (initial_state program config);
+  explore m.init;
   Hashtbl.fold (fun o () acc -> o :: acc) outcomes [] |> List.sort compare_outcome

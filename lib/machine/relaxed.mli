@@ -16,9 +16,41 @@ open Wmm_isa
 
     Barriers have their architectural semantics: full barriers
     ([dmb ish], [sync]) wait for the window and drain the buffer;
-    [dmb ishld] orders earlier loads; [dmb ishst] and [lwsync] insert
-    drain-order markers; [isb]/[isync] wait for everything;
-    load-acquire and store-release behave as in ARMv8 (RCsc). *)
+    [dmb ishld] waits for earlier loads and holds back later loads;
+    [dmb ishst] and [lwsync] insert drain-order markers;
+    [isb]/[isync] wait for everything; load-acquire and store-release
+    behave as in ARMv8 (RCsc).
+
+    Known defect: a later store does not wait for an unexecuted
+    [dmb ishld] (nor for [fence acq]), so the machine lets a store
+    pass the barrier and reaches load->store reorderings that the
+    barrier forbids.  The repository benchmark counts the affected
+    verdicts as failed: [synth/LB+dmb.ld+rel] and
+    [synth/3.LB+dmb+ctrl+dmb.ld] under ARMv8 in verdict-certify, and
+    two programs (six requests) in serve-mix.  Fixing it changes the
+    visited-state counts recorded in [repobench/data/strata.txt].
+
+    {2 State and search}
+
+    A state is one flat int array.  Per thread it holds the pc, the
+    window as fixed-stride entries (pc, flags, result, stored value,
+    location, two operands; the instruction is implied by the pc)
+    and a (tag, value) binding per register the thread writes; then
+    memory, one exclusive monitor per thread, memory written outside
+    the program's locations, and the store buffers.  A successor is a
+    copy of the array with an in-place edit.  {!enumerate} searches
+    depth first and keeps a seen set of compact byte keys (varint
+    encodings of the key region, hashed over every byte).  Two states
+    share a key exactly when they agree on every pc, window entry
+    (eid, pc, operands, executed flag, result, stored value,
+    location), register binding, buffer, memory cell and monitor.
+    Two fields sit outside the key: each thread's next eid (with a
+    non-empty window it follows from the window's eids; with an empty
+    one it is never read again) and the set of registers written so
+    far (it only decides which registers an outcome reports).  So
+    states reached along different paths with different written sets
+    are merged, and the depth-first order decides which one is kept:
+    the order of enabled actions is part of the semantics. *)
 
 type config = {
   window_size : int;  (** Out-of-order window size per thread. *)
@@ -65,4 +97,5 @@ val collect : config -> seed:int -> iterations:int -> Program.t -> (outcome * in
 val enumerate : ?max_states:int -> config -> Program.t -> outcome list
 (** All reachable final states by exhaustive depth-first exploration
     with state memoisation.  Raises [Failure] if the state count
-    exceeds [max_states] (default 500_000). *)
+    exceeds [max_states] (default 500_000): a program visiting N
+    states completes at [~max_states:N] and fails at [N - 1]. *)
